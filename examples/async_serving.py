@@ -1,12 +1,13 @@
-"""Async serving example: a TCP/JSON query service and a pipelining client.
+"""Async serving example: the HTTP/JSON query service and its client.
 
 Stands up the full online request path in one process — engine (async
 backend + sub-graph cache) → micro-batching scheduler → admission control →
-TCP server speaking newline-delimited JSON — then drives it with an
-:class:`~repro.serving.frontend.AsyncClient`:
+HTTP/1.1 server with JSON bodies — then drives it with an
+:class:`~repro.serving.frontend.HttpQueryClient`:
 
-1. a pipelined burst of hot-seed queries (duplicates included, so the
-   batcher's dedup and the engine's cache both engage),
+1. a concurrent burst of hot-seed queries over the client's keep-alive
+   connection pool (duplicates included, so the batcher's dedup and the
+   engine's cache both engage),
 2. a verification that every answer matches the offline
    ``QueryEngine.solve_batch`` reference exactly,
 3. the server's own stats report: batches formed, dedup hits, cache hit
@@ -30,10 +31,10 @@ from repro.ppr import PPRQuery
 from repro.serving import QueryEngine, SubgraphCache, make_backend
 from repro.serving.frontend import (
     AdmissionController,
-    AsyncClient,
-    AsyncQueryServer,
     BatchPolicy,
     DeadlineExceededError,
+    HttpQueryClient,
+    HttpQueryServer,
     MicroBatcher,
 )
 
@@ -70,52 +71,58 @@ async def main() -> None:
     admission = AdmissionController(max_pending=64)
 
     async with MicroBatcher(engine, policy, admission) as batcher:
-        async with AsyncQueryServer(batcher) as server:
-            host, port = server.address
-            print(f"Serving on {host}:{port} (policy {policy.label})\n")
+        server = HttpQueryServer(batcher)
+        host, port = await server.start()
+        print(f"Serving on http://{host}:{port} (policy {policy.label})\n")
 
-            client = await AsyncClient.connect(host, port)
+        client = await HttpQueryClient.connect(host, port)
+        try:
+            # Concurrent burst: one request in flight per pooled
+            # connection, all of them coalescing in the batcher.
+            answers = await asyncio.gather(
+                *(client.solve(seed=q.seed, k=q.k) for q in queries)
+            )
+            matches = sum(
+                answer == [(int(n), float(s)) for n, s in reference[query]]
+                for query, answer in zip(queries, answers)
+            )
+            print(
+                f"Burst of {len(queries)} queries answered; "
+                f"{matches}/{len(queries)} bit-identical to the offline engine"
+            )
+            if matches != len(queries):
+                raise SystemExit("online answers differ from the offline engine")
+
+            stats = await client.stats()
+            latency = stats["admission"]["latency"]
+            print(
+                f"Server formed {stats['batches']} batches "
+                f"(mean size {stats['mean_batch_size']:.1f}), "
+                f"dedup served {stats['dedup_hits']} waiters for free, "
+                f"cache hit rate {stats['engine']['cache']['hit_rate']:.0%}"
+            )
+            print(
+                "End-to-end latency: "
+                f"p50 {latency['p50_seconds'] * 1e3:.2f} ms, "
+                f"p95 {latency['p95_seconds'] * 1e3:.2f} ms, "
+                f"p99 {latency['p99_seconds'] * 1e3:.2f} ms"
+            )
+
+            # Deadlines are enforced, not advisory: an impossible budget
+            # is answered with an explicit rejection.
             try:
-                # Pipelined burst: all requests in flight at once.
-                answers = await asyncio.gather(
-                    *(client.solve(seed=q.seed, k=q.k) for q in queries)
-                )
-                matches = sum(
-                    answer == [(int(n), float(s)) for n, s in reference[query]]
-                    for query, answer in zip(queries, answers)
-                )
+                await client.solve(seed=1234, k=100, timeout_ms=0.01)
+                print("Deadline demo: unexpectedly fast machine!")
+            except DeadlineExceededError:
                 print(
-                    f"Burst of {len(queries)} queries answered; "
-                    f"{matches}/{len(queries)} bit-identical to the offline engine"
+                    "Deadline demo: 0.01 ms budget correctly rejected "
+                    "with error='deadline'"
                 )
-
-                stats = await client.stats()
-                latency = stats["admission"]["latency"]
-                print(
-                    f"Server formed {stats['batches']} batches "
-                    f"(mean size {stats['mean_batch_size']:.1f}), "
-                    f"dedup served {stats['dedup_hits']} waiters for free, "
-                    f"cache hit rate {stats['engine']['cache']['hit_rate']:.0%}"
-                )
-                print(
-                    "End-to-end latency: "
-                    f"p50 {latency['p50_seconds'] * 1e3:.2f} ms, "
-                    f"p95 {latency['p95_seconds'] * 1e3:.2f} ms, "
-                    f"p99 {latency['p99_seconds'] * 1e3:.2f} ms"
-                )
-
-                # Deadlines are enforced, not advisory: an impossible budget
-                # is answered with an explicit rejection.
-                try:
-                    await client.solve(seed=1234, k=100, timeout_ms=0.01)
-                    print("Deadline demo: unexpectedly fast machine!")
-                except DeadlineExceededError:
-                    print(
-                        "Deadline demo: 0.01 ms budget correctly rejected "
-                        "with error='deadline'"
-                    )
-            finally:
-                await client.close()
+        finally:
+            await client.close()
+            # Drain, not just stop: every connection handler finishes
+            # before the batcher shuts down.
+            await server.drain()
     engine.close()
 
 

@@ -79,8 +79,7 @@ def normalize_edge_ops(
     """Canonicalise one update batch into validated ``(kind, u, v)`` tuples.
 
     Accepts ``("insert", u, v)`` tuples or ``{"op": "insert", "u": u,
-    "v": v}`` dicts (the wire form of ``POST /admin/update`` and the TCP
-    ``update`` op).  Endpoints are range-checked, self-loops rejected and
+    "v": v}`` dicts (the wire form of ``POST /admin/update``).  Endpoints are range-checked, self-loops rejected and
     each pair ordered ``u < v``; the batch must be non-empty.  All errors
     raise ``ValueError`` *before* anything is applied, so an update either
     validates whole or changes nothing — the same all-or-nothing contract as

@@ -11,7 +11,7 @@ the per-query work on a pluggable :class:`ExecutionBackend` (serial,
 thread-pool, asyncio or a shared-memory process pool; build one from a spec
 string with :func:`make_backend`).  The algorithmic stage loop it drives lives in
 :mod:`repro.meloppr.planner`; the online request path — micro-batching,
-admission control, the TCP/JSON service — lives in
+admission control, the HTTP/JSON service — lives in
 :mod:`repro.serving.frontend`.
 
 Observability cuts across all of it: attach a :class:`Tracer` to the engine

@@ -13,35 +13,29 @@ into the well-formed batches that engine is optimised for:
   queries, and enforces per-query deadlines.
 * :class:`AdmissionController` — a bounded in-flight queue with explicit
   shedding (:class:`QueryShedError`) and p50/p95/p99 latency telemetry.
-* :class:`QueryClient` — the unified client API: one abstract surface
-  (``query``/``query_batch``/``ping``/``stats``/``drain``/``traces``,
-  typed errors, retry-with-backoff) with :class:`TcpQueryClient` and
-  :class:`HttpQueryClient` implementations behind :func:`connect_client`.
-  ``AsyncClient`` remains as an alias of the TCP client for one release.
-* :class:`AsyncQueryServer` — a minimal TCP service speaking
-  newline-delimited JSON, with protocol-level shed/deadline answers.
 * :class:`HttpQueryServer` / :class:`HttpClient` / :class:`HttpClientPool` —
-  the production front door: the same batcher served over HTTP/1.1 + JSON,
-  with a Prometheus ``/metrics`` endpoint
+  the front door: the batcher served over HTTP/1.1 + JSON, with a
+  Prometheus ``/metrics`` endpoint
   (:func:`render_prometheus` / :func:`parse_prometheus_text`).
+* :class:`HttpQueryClient` — the query-client API
+  (``query``/``query_batch``/``ping``/``stats``/``drain``/``traces``,
+  typed errors, retry-with-backoff) on a keep-alive connection pool.
 * :class:`ReplicaRouter` — the multi-replica front door: consistent-hash
   seed routing over a fleet (see :mod:`repro.serving.replica`), bounded
   retry-with-failover, rolling drain, and aggregated
   ``/stats``/``/metrics``/``/debug/traces``.
 * :class:`ServingConfig` / :func:`build_frontend` — the one CLI/config
-  surface both server transports (and the replica supervisor) build from.
-* ``PROTOCOL_VERSION`` — every response (TCP line or HTTP envelope)
-  carries a ``proto`` field so mixed-version fleets fail loudly
-  (:class:`ProtocolMismatchError`).
+  surface the server (and the replica supervisor) build from.
+* ``PROTOCOL_VERSION`` — every JSON envelope carries a ``proto`` field so
+  mixed-version fleets fail loudly (:class:`ProtocolMismatchError`).
 * :func:`apply_reload` — hot config reload (admission bound, batch policy,
-  cache budgets) shared by both transports; both servers also implement
-  graceful drain (``drain()``: stop accepting, finish every in-flight
-  query).
+  cache budgets); the server also implements graceful drain (``drain()``:
+  stop accepting, finish every in-flight query).
 * :class:`WorkloadRecorder` / :func:`replay_trace` — capture accepted
   queries with arrival offsets as JSONL traces and replay them as
   repeatable benchmarks.
 * :func:`configure_logging` / :func:`log_request` — structured per-request
-  logging (``--log-level``/``--log-json`` on both server CLIs), one line
+  logging (``--log-level``/``--log-json`` on the server CLI), one line
   per answered query carrying the trace id when the query was sampled.
 """
 
@@ -55,13 +49,9 @@ from repro.serving.frontend.admission import (
 from repro.serving.frontend.async_backend import AsyncBackend
 from repro.serving.frontend.batcher import BatcherStats, BatchPolicy, MicroBatcher
 from repro.serving.frontend.client import (
-    AsyncClient,
     ClientConnectionError,
     HttpQueryClient,
-    QueryClient,
     ServerError,
-    TcpQueryClient,
-    connect_client,
     raise_for_response,
 )
 from repro.serving.frontend.config import (
@@ -107,14 +97,12 @@ from repro.serving.frontend.protocol import (
     check_protocol_version,
 )
 from repro.serving.frontend.router import ReplicaRouter
-from repro.serving.frontend.server import AsyncQueryServer, write_ready_file
+from repro.serving.frontend.server import write_ready_file
 
 __all__ = [
     "AdmissionController",
     "AdmissionStats",
     "AsyncBackend",
-    "AsyncClient",
-    "AsyncQueryServer",
     "BaseHttpServer",
     "BatchPolicy",
     "BatcherStats",
@@ -129,7 +117,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "PrometheusScrape",
     "ProtocolMismatchError",
-    "QueryClient",
     "QueryRejectedError",
     "QueryShedError",
     "RELOADABLE_KEYS",
@@ -137,7 +124,6 @@ __all__ = [
     "ReplicaRouter",
     "ServerError",
     "ServingConfig",
-    "TcpQueryClient",
     "TraceRecord",
     "WorkloadRecorder",
     "add_serving_arguments",
@@ -147,7 +133,6 @@ __all__ = [
     "build_serving_parser",
     "check_protocol_version",
     "configure_logging",
-    "connect_client",
     "frontend_config",
     "load_trace",
     "log_request",

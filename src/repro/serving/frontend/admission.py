@@ -128,7 +128,7 @@ class AdmissionController:
     max_pending:
         Hard bound on admitted-but-unanswered queries.  Submissions beyond it
         raise :class:`QueryShedError` instead of growing any queue — the
-        explicit backpressure signal callers (and the TCP protocol) surface.
+        explicit backpressure signal callers (and the HTTP 429) surface.
     """
 
     def __init__(self, max_pending: int = 256) -> None:

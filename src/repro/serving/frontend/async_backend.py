@@ -5,7 +5,7 @@
 asyncio event loop.  The loop runs on a dedicated daemon thread owned by the
 backend; each job is offloaded to a bounded thread pool via
 ``loop.run_in_executor`` and awaited as a coroutine, so an async front-end
-(the micro-batching scheduler, the TCP server) can await engine work without
+(the micro-batching scheduler, the HTTP server) can await engine work without
 blocking its own loop, while plain synchronous callers keep using
 ``backend.map`` unchanged.
 

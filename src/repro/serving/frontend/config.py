@@ -1,9 +1,9 @@
 """One serving configuration, one builder, every entry point.
 
-The TCP and HTTP server mains grew the same ~20 CLI flags and the same
-engine-assembly logic in parallel; the replica supervisor would have been a
-third copy — worse, one that re-assembled ``argv`` strings to spawn its
-replicas.  This module is the single source of truth instead:
+The server CLI, the replica supervisor and the tests share one flag set and
+one engine-assembly path — the supervisor builds config objects instead of
+re-assembling ``argv`` strings to spawn its replicas.  This module is that
+single source of truth:
 
 * :class:`ServingConfig` — a frozen dataclass carrying everything a serving
   process needs (dataset, backend, batching, admission, caches, kernel,
@@ -12,11 +12,10 @@ replicas.  This module is the single source of truth instead:
   namespace, :meth:`ServingConfig.to_argv` emits the equivalent flag list —
   which is exactly how :class:`~repro.serving.replica.ReplicaSet` spawns
   replica subprocesses from a config object.
-* :func:`add_serving_arguments` — installs the shared flags on a parser;
-  both server CLIs call it, so the flag surface cannot drift between
-  transports again.
+* :func:`add_serving_arguments` — installs the shared flags on a parser,
+  so the CLI and :class:`ServingConfig` cannot drift apart.
 * :func:`build_frontend` — the one builder turning a config into the
-  ``(engine, policy, admission)`` triple both servers serve.  Sharded
+  ``(engine, policy, admission)`` triple the server serves.  Sharded
   configs (``num_shards > 0``) build a
   :class:`~repro.serving.sharding.ShardRouter` over the deterministic
   partition, which is what gives a replica its shard set while keeping it
@@ -45,13 +44,13 @@ class ServingConfig:
     """Everything one serving process needs, as data.
 
     Field defaults mirror the CLI defaults exactly — ``ServingConfig()`` is
-    what ``parse_args([])`` produces (modulo the per-CLI ``port`` default),
-    and :meth:`to_argv` round-trips through :meth:`from_args` losslessly.
+    what ``parse_args([])`` produces, and :meth:`to_argv` round-trips
+    through :meth:`from_args` losslessly.
     """
 
     dataset: str = "G1"
     host: str = "127.0.0.1"
-    port: int = 7071
+    port: int = 7080
     backend: str = "async:4"
     max_batch: int = 8
     max_wait_ms: float = 2.0
@@ -157,12 +156,12 @@ class ServingConfig:
 
 
 def add_serving_arguments(
-    parser: argparse.ArgumentParser, default_port: int = 7071
+    parser: argparse.ArgumentParser,
 ) -> argparse.ArgumentParser:
-    """Install the shared serving flags on ``parser`` (both server CLIs)."""
+    """Install the shared serving flags on ``parser``."""
     parser.add_argument("--dataset", default="G1", help="dataset key to serve")
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=default_port)
+    parser.add_argument("--port", type=int, default=7080)
     parser.add_argument(
         "--backend",
         default="async:4",
@@ -304,20 +303,20 @@ def add_serving_arguments(
 
 
 def build_serving_parser(
-    description: Optional[str] = None, default_port: int = 7071
+    description: Optional[str] = None,
 ) -> argparse.ArgumentParser:
     """A fresh parser carrying exactly the shared serving flags."""
     return add_serving_arguments(
-        argparse.ArgumentParser(description=description), default_port
+        argparse.ArgumentParser(description=description)
     )
 
 
 def build_frontend(config: ServingConfig) -> Tuple[object, object, object]:
     """Construct the ``(engine, policy, admission)`` triple a server serves.
 
-    The one assembly path shared by the TCP CLI, the HTTP CLI and the
-    replica supervisor.  Accepts a :class:`ServingConfig`; the transport
-    mains adapt their parsed namespaces via :meth:`ServingConfig.from_args`.
+    The one assembly path shared by the server CLI and the replica
+    supervisor.  Accepts a :class:`ServingConfig`; the CLI adapts its
+    parsed namespace via :meth:`ServingConfig.from_args`.
     """
     # Imported here, not at module top: the frontend package must stay
     # importable without pulling the dataset/solver layers in.

@@ -1,11 +1,9 @@
-"""An HTTP/1.1 + JSON front door over the same micro-batcher as TCP.
+"""The HTTP/1.1 + JSON front door over the micro-batcher.
 
-The JSON-lines TCP protocol (:mod:`repro.serving.frontend.server`) is the
-low-overhead path for purpose-built clients; this module is the *operable*
-one — anything that speaks HTTP (curl, load balancers, Prometheus) can talk
-to it, and both transports can serve the **same**
-:class:`~repro.serving.frontend.batcher.MicroBatcher` simultaneously, so
-queries arriving over HTTP coalesce into the same batches as TCP traffic.
+HTTP is the one wire protocol: anything that speaks it (curl, load
+balancers, Prometheus, :class:`~repro.serving.frontend.client.HttpQueryClient`)
+can talk to the server, and concurrent queries from every connection
+coalesce in one :class:`~repro.serving.frontend.batcher.MicroBatcher`.
 
 Endpoints::
 
@@ -19,6 +17,8 @@ Endpoints::
                            {"ok": false, "error": <code>, "message": ...}
     GET  /healthz       200 while serving, 503 while draining (load
                         balancers stop routing before the listener closes)
+    HEAD <any GET path> the GET response's headers (Content-Length
+                        included) with no body
     GET  /stats         the full nested stats snapshot as JSON
     GET  /metrics       Prometheus text exposition (0.0.4) of the same
                         counters (repro.serving.frontend.metrics)
@@ -102,9 +102,9 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
-#: Protocol error codes -> HTTP status.  The JSON bodies carry the same
-#: ``error`` codes as the TCP protocol, so clients can switch transports
-#: without relearning the failure taxonomy.
+#: Protocol error codes -> HTTP status.  The JSON bodies carry the
+#: ``error`` code too, and clients map it onto the same typed exceptions
+#: the in-process frontend raises.
 _ERROR_STATUS = {
     "bad_request": 400,
     "shed": 429,
@@ -198,12 +198,13 @@ class BaseHttpServer:
     async def drain(self) -> None:
         """Gracefully wind the server down: stop accepting, finish in-flight.
 
-        Same contract as the TCP server's drain — **no admitted request is
-        ever dropped**: the listener closes, every connection finishes the
-        request it is handling (and flushes the response), idle keep-alive
-        connections close, and :meth:`drain` returns.  Whatever answers the
+        The contract — the reason this is safe to wire to ``SIGTERM`` — is
+        that **no admitted request is ever dropped**: the listener closes,
+        every connection finishes the request it is handling (and flushes
+        the response), idle keep-alive connections close, and
+        :meth:`drain` returns.  Whatever answers the
         requests (a batcher, a replica fleet) is *not* stopped here — the
-        caller owns it and may be draining several transports.
+        caller owns it and stops it after the drain.
         """
         if self._drain_event is None:
             return  # never started: nothing in flight by construction
@@ -364,6 +365,7 @@ class BaseHttpServer:
             payload,
             content_type=content_type,
             close=not keep_alive,
+            head_only=method == "HEAD",
         )
         return keep_alive and sent
 
@@ -424,9 +426,15 @@ class BaseHttpServer:
         payload: object,
         content_type: str = "application/json",
         close: bool = False,
+        head_only: bool = False,
     ) -> bool:
         """Serialise and send one response; returns False if the client
-        went away (nothing to deliver the answer to)."""
+        went away (nothing to deliver the answer to).
+
+        ``head_only`` answers a ``HEAD``: the headers a ``GET`` would get,
+        ``Content-Length`` included, and no body (RFC 9110 §9.3.2) — a body
+        would be read as the start of the next response on the connection.
+        """
         if isinstance(payload, dict) and "ok" in payload:
             # Every ok-envelope answer carries the protocol version so
             # clients can detect mixed-version fleets (document payloads
@@ -447,7 +455,7 @@ class BaseHttpServer:
             "\r\n"
         ).encode("ascii")
         try:
-            writer.write(head + body)
+            writer.write(head if head_only else head + body)
             await writer.drain()
         except (ConnectionError, OSError):
             return False
@@ -476,9 +484,7 @@ class HttpQueryServer(BaseHttpServer):
     ----------
     batcher:
         The started (or about-to-be-started) micro-batcher answering
-        queries — share one instance with an
-        :class:`~repro.serving.frontend.server.AsyncQueryServer` to serve
-        both transports from the same batches.
+        queries.
     host, port:
         Bind address; port 0 picks a free port (read it from
         :meth:`start`'s return value).
@@ -665,7 +671,7 @@ class HttpQueryServer(BaseHttpServer):
     async def _answer_query(
         self, body: bytes, received: float, headers: Dict[str, str]
     ) -> dict:
-        """The ``POST /query`` handler: same semantics as the TCP query op."""
+        """The ``POST /query`` handler."""
         loop = asyncio.get_running_loop()
         request_id = None
         try:
@@ -983,9 +989,7 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - blocks 
     )
     from repro.serving.frontend.config import build_serving_parser
 
-    # Keep clear of the TCP default (7071).
-    parser = build_serving_parser(__doc__, default_port=7080)
-    args = parser.parse_args(argv)
+    args = build_serving_parser(__doc__).parse_args(argv)
     configure_logging(args.log_level, json_mode=args.log_json)
     engine, policy, admission = build_frontend(args)
     recorder = WorkloadRecorder() if args.record else None

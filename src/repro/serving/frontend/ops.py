@@ -1,11 +1,10 @@
-"""Live operations shared by the TCP and HTTP front doors.
+"""Live operations behind the front door's admin endpoints.
 
 A production server cannot restart to change a cache budget, and it cannot
 drop in-flight queries to shut down.  This module implements the first half
-of that contract — **hot config reload** — as one transport-agnostic
-function: :func:`apply_reload` validates a dict of overrides (the JSON body
-of ``POST /admin/reload``, or the ``config`` field of the TCP ``reload``
-op), then applies them to the running frontend:
+of that contract — **hot config reload** — as one function:
+:func:`apply_reload` validates a dict of overrides (the JSON body of
+``POST /admin/reload``), then applies them to the running frontend:
 
 * ``max_pending`` — the admission bound
   (:meth:`~repro.serving.frontend.admission.AdmissionController.set_max_pending`);
@@ -23,9 +22,8 @@ Validation is all-or-nothing: every override is checked before anything is
 applied, so a reload with one bad field changes nothing.  No query is ever
 dropped by a reload — budgets evict cache entries, never answers.
 
-Graceful drain, the other half, lives on the servers themselves
-(:meth:`~repro.serving.frontend.server.AsyncQueryServer.drain`,
-:meth:`~repro.serving.frontend.http.HttpQueryServer.drain`) because it is
+Graceful drain, the other half, lives on the server itself
+(:meth:`~repro.serving.frontend.http.BaseHttpServer.drain`) because it is
 about connection lifecycles, which only the transport knows.
 """
 
@@ -241,15 +239,15 @@ def apply_reload(
 def apply_graph_update(batcher: MicroBatcher, ops: object) -> Dict[str, object]:
     """Apply a streaming edge-update batch through the running frontend.
 
-    The transport-agnostic body of ``POST /admin/update`` and the TCP
-    ``update`` op: ``ops`` is the request's edge-op list (dicts like
+    The body of ``POST /admin/update``: ``ops`` is the request's edge-op
+    list (dicts like
     ``{"op": "insert", "u": 3, "v": 17}`` straight from JSON), validated and
     applied by :meth:`~repro.serving.engine.QueryEngine.apply_update` under
     the engine's writer barrier.  Invalid batches raise ``ValueError``
     without touching the engine.
 
     **Blocking**: the writer barrier waits for in-flight batches, so the
-    async servers must call this through ``run_in_executor`` — on the event
+    async server must call this through ``run_in_executor`` — on the event
     loop it would deadlock against the batch the loop is waiting on.
     """
     if not isinstance(ops, list):

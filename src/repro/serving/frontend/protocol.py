@@ -1,4 +1,4 @@
-"""Protocol versioning shared by every transport and client.
+"""Protocol versioning shared by the server, its clients and the router.
 
 A replicated fleet is upgraded one process at a time, so a router *will* at
 some point talk to a replica speaking a different wire protocol.  Without a
@@ -6,12 +6,10 @@ version field that shows up as silent mis-parsing (a missing key, a shifted
 status code) attributed to anything but its real cause.  With one, it shows
 up as a :class:`ProtocolMismatchError` naming both versions and the peer.
 
-Every server stamps its responses:
-
-* TCP responses carry ``"proto": PROTOCOL_VERSION`` on each JSON line;
-* HTTP responses carry an ``X-Repro-Proto`` header, ``GET /healthz`` also
-  carries ``proto`` in its body, and the ``repro_server_info`` metric a
-  ``proto`` label.
+Every server stamps its responses: each carries an ``X-Repro-Proto``
+header, every JSON envelope (``GET /healthz`` included) carries
+``"proto": PROTOCOL_VERSION`` in its body, and the ``repro_server_info``
+metric a ``proto`` label.
 
 Clients (and the replica router's health checks) validate the field with
 :func:`check_protocol_version`: a *different* version fails loudly, while an
@@ -31,9 +29,8 @@ __all__ = [
     "check_protocol_version",
 ]
 
-#: Version of the query wire protocol (TCP JSON-lines and HTTP JSON bodies
-#: share one taxonomy, so they share one version).  Bump on any change a
-#: deployed client could mis-parse.
+#: Version of the query wire protocol (the HTTP JSON bodies and their error
+#: taxonomy).  Bump on any change a deployed client could mis-parse.
 PROTOCOL_VERSION = 1
 
 #: Capabilities of this build, advertised through ``/healthz`` and the

@@ -4,8 +4,9 @@ Synthetic workloads (Poisson arrivals over Zipf seeds) are a model; the
 traffic that actually melts a server is whatever production sent last
 Tuesday.  This module closes that loop:
 
-* :class:`WorkloadRecorder` — attached to a front door (``--record PATH`` on
-  the TCP and HTTP server CLIs, or ``recorder=`` on the server classes), it
+* :class:`WorkloadRecorder` — attached to the front door (``--record PATH``
+  on the server CLI, or ``recorder=`` on :class:`~repro.serving.frontend.
+  http.HttpQueryServer`), it
   captures every *accepted* query with its arrival offset.  Rejected
   requests (bad JSON, out-of-range seeds) are not recorded — a trace must
   replay cleanly.
@@ -120,8 +121,7 @@ class WorkloadRecorder:
 
     The recorder never blocks the serving path beyond one lock acquisition
     and never raises into it; it is attached to a server
-    (``AsyncQueryServer(..., recorder=...)`` /
-    ``HttpQueryServer(..., recorder=...)``) and saved at shutdown.
+    (``HttpQueryServer(..., recorder=...)``) and saved at shutdown.
 
     Parameters
     ----------

@@ -1,7 +1,7 @@
-"""Tests for the transport-agnostic live ops: hot reload and its plumbing.
+"""Tests for the live ops: hot reload and its plumbing.
 
-:func:`apply_reload` is the single validation/application path behind both
-``POST /admin/reload`` and the TCP ``reload`` op; these tests pin its
+:func:`apply_reload` is the single validation/application path behind
+``POST /admin/reload``; these tests pin its
 all-or-nothing contract and the live-object plumbing it relies on
 (``AdmissionController.set_max_pending``, ``MicroBatcher.set_policy``,
 cache ``resize``).
@@ -254,8 +254,7 @@ class TestLivePlumbing:
 
 
 class TestApplyGraphUpdate:
-    """The transport-agnostic path behind ``POST /admin/update`` and the
-    TCP ``update`` op."""
+    """The path behind ``POST /admin/update``."""
 
     def test_applies_through_the_engine(self, small_ba_graph, config):
         from repro.graph.csr import CSRGraph

@@ -13,8 +13,6 @@ from repro.ppr.base import PPRQuery, PPRResult
 from repro.serving import QueryEngine
 from repro.serving.frontend import (
     AdmissionController,
-    AsyncClient,
-    AsyncQueryServer,
     HttpClient,
     HttpQueryServer,
     MicroBatcher,
@@ -195,32 +193,6 @@ class TestReplay:
 
 
 class TestServerIntegration:
-    def test_tcp_server_records_accepted_only(self, small_ba_graph, config):
-        engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
-        recorder = WorkloadRecorder()
-
-        async def run():
-            async with MicroBatcher(engine) as batcher:
-                server = AsyncQueryServer(batcher, recorder=recorder)
-                host, port = await server.start()
-                try:
-                    client = await AsyncClient.connect(host, port)
-                    await client.solve(seed=3, k=10)
-                    # Rejected requests must not pollute the trace.
-                    await client.request({"seed": "junk"})
-                    await client.request({"op": "nonsense"})
-                    await client.solve(seed=7, k=20, timeout_ms=5000)
-                    await client.close()
-                finally:
-                    await server.stop()
-
-        with engine:
-            asyncio.run(run())
-        records = recorder.records
-        assert [r.seed for r in records] == [3, 7]
-        assert records[0].offset_seconds == 0.0
-        assert records[1].timeout_ms == 5000.0
-
     def test_http_server_records_accepted_only(self, small_ba_graph, config):
         engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
         recorder = WorkloadRecorder()

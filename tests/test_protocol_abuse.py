@@ -1,12 +1,13 @@
-"""Protocol-abuse suite shared across the TCP and HTTP front doors.
+"""Protocol-abuse suite for the HTTP front door.
 
-One malformed-payload corpus is pushed through *both* transports; every
-abuse must produce a typed error (``bad_request`` over TCP, the mapped
-status code over HTTP) — never a silently dropped connection — and the
-server must keep answering correct queries afterwards.  A second group
-abuses the HTTP framing itself (bad request lines, bad Content-Length,
-chunked bodies, oversized payloads), and a third proves a mid-batch client
-disconnect cannot poison the answers of the queries batched alongside it.
+One malformed-payload corpus is pushed through the server; every abuse
+must produce a typed error (the mapped status code with a ``bad_request``
+body) — never a silently dropped connection — and the server must keep
+answering correct queries afterwards.  A second group abuses the HTTP
+framing itself (bad request lines, bad Content-Length, chunked bodies,
+oversized payloads, ``HEAD`` on a keep-alive connection), and a third
+proves a mid-batch client disconnect cannot poison the answers of the
+queries batched alongside it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery, PPRResult, PPRSolver
 from repro.serving import QueryEngine
 from repro.serving.frontend import (
-    AsyncQueryServer,
     BatchPolicy,
     HttpClient,
     HttpQueryServer,
@@ -48,42 +48,21 @@ class SleepySolver(PPRSolver):
         return PPRResult(query=query, scores=SparseScoreVector({query.seed: 1.0}))
 
 
-def both_servers(engine, policy=None):
-    """Async context: one batcher serving a TCP *and* an HTTP front door."""
+def http_server(engine, policy=None):
+    """Async context: one batcher behind an HTTP front door."""
 
     class _Stack:
         async def __aenter__(self):
             self.batcher = MicroBatcher(engine, policy)
             await self.batcher.start()
-            self.tcp = AsyncQueryServer(self.batcher)
             self.http = HttpQueryServer(self.batcher)
-            tcp_addr = await self.tcp.start()
-            http_addr = await self.http.start()
-            return tcp_addr, http_addr
+            return await self.http.start()
 
         async def __aexit__(self, exc_type, exc, traceback):
-            await self.tcp.stop()
             await self.http.stop()
             await self.batcher.stop()
 
     return _Stack()
-
-
-async def tcp_exchange(addr, payload: bytes) -> dict:
-    """One raw JSON-lines exchange; returns the server's parsed answer."""
-    reader, writer = await asyncio.open_connection(*addr)
-    try:
-        writer.write(payload + b"\n")
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout=5)
-        assert line, "server dropped the connection without answering"
-        return json.loads(line)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
 
 async def http_raw_exchange(addr, request: bytes) -> bytes:
@@ -116,17 +95,15 @@ def status_of(raw: bytes) -> int:
     return int(raw.split(b" ", 2)[1])
 
 
-async def assert_still_serving(tcp_addr, http_addr, expected_top) -> None:
-    """After any abuse, both transports still answer correctly."""
-    answer = await tcp_exchange(tcp_addr, json.dumps({"seed": 3, "k": 10}).encode())
-    assert answer["ok"] is True and answer["top"] == expected_top
+async def assert_still_serving(http_addr, expected_top) -> None:
+    """After any abuse, the server still answers correctly."""
     async with HttpClient(*http_addr) as client:
         status, body = await client.query({"seed": 3, "k": 10})
     assert status == 200 and body["top"] == expected_top
 
 
 # The shared corpus: payload (as a dict or raw JSON value) plus a fragment
-# the error message must mention.  Each entry is sent to both transports.
+# the error message must mention.
 MALFORMED_BODIES = [
     pytest.param([1, 2, 3], "object", id="json-array"),
     pytest.param("a string", "object", id="json-string"),
@@ -144,7 +121,7 @@ MALFORMED_BODIES = [
 
 
 class TestSharedMalformedBodies:
-    """The same abusive payloads through both front doors."""
+    """The abusive-payload corpus through the front door."""
 
     @pytest.fixture()
     def stack(self, small_ba_graph, config):
@@ -161,13 +138,8 @@ class TestSharedMalformedBodies:
         engine, expected = stack
 
         async def run():
-            async with both_servers(engine) as (tcp_addr, http_addr):
+            async with http_server(engine) as http_addr:
                 raw = json.dumps(payload).encode("utf-8")
-
-                tcp_answer = await tcp_exchange(tcp_addr, raw)
-                assert tcp_answer["ok"] is False
-                assert tcp_answer["error"] == "bad_request"
-                assert fragment in tcp_answer["message"]
 
                 http_raw = await http_raw_exchange(http_addr, http_post_query(raw))
                 assert status_of(http_raw) == 400
@@ -176,7 +148,7 @@ class TestSharedMalformedBodies:
                 assert http_body["error"] == "bad_request"
                 assert fragment in http_body["message"]
 
-                await assert_still_serving(tcp_addr, http_addr, expected)
+                await assert_still_serving(http_addr, expected)
 
         asyncio.run(run())
 
@@ -184,16 +156,12 @@ class TestSharedMalformedBodies:
         engine, expected = stack
 
         async def run():
-            async with both_servers(engine) as (tcp_addr, http_addr):
+            async with http_server(engine) as http_addr:
                 raw = b"{not json at all"
-                tcp_answer = await tcp_exchange(tcp_addr, raw)
-                assert tcp_answer["ok"] is False
-                assert tcp_answer["error"] == "bad_request"
-
                 http_raw = await http_raw_exchange(http_addr, http_post_query(raw))
                 assert status_of(http_raw) == 400
 
-                await assert_still_serving(tcp_addr, http_addr, expected)
+                await assert_still_serving(http_addr, expected)
 
         asyncio.run(run())
 
@@ -201,16 +169,9 @@ class TestSharedMalformedBodies:
         engine, expected = stack
 
         async def run():
-            async with both_servers(engine) as (tcp_addr, http_addr):
-                tcp_answer = await tcp_exchange(
-                    tcp_addr, json.dumps({"op": "frobnicate"}).encode()
-                )
-                assert tcp_answer["ok"] is False
-                assert tcp_answer["error"] == "bad_request"
-                assert "frobnicate" in tcp_answer["message"]
-
-                # The HTTP analogue of an unknown op is an unknown path /
-                # wrong method: 404 and 405, not a dropped connection.
+            async with http_server(engine) as http_addr:
+                # An unknown operation is an unknown path / wrong method:
+                # 404 and 405, not a dropped connection.
                 raw404 = await http_raw_exchange(
                     http_addr,
                     b"GET /frobnicate HTTP/1.1\r\nHost: t\r\n"
@@ -224,7 +185,7 @@ class TestSharedMalformedBodies:
                 )
                 assert status_of(raw405) == 405
 
-                await assert_still_serving(tcp_addr, http_addr, expected)
+                await assert_still_serving(http_addr, expected)
 
         asyncio.run(run())
 
@@ -232,15 +193,8 @@ class TestSharedMalformedBodies:
         engine, expected = stack
 
         async def run():
-            async with both_servers(engine) as (tcp_addr, http_addr):
-                # TCP: a line beyond the stream limit gets an explicit
-                # answer, then the (unresynchronisable) connection closes.
-                blob = b'{"seed": 3, "pad": "' + b"x" * (1 << 17) + b'"}'
-                tcp_answer = await tcp_exchange(tcp_addr, blob)
-                assert tcp_answer["ok"] is False
-                assert tcp_answer["error"] == "bad_request"
-
-                # HTTP: a body over the cap is refused from the declared
+            async with http_server(engine) as http_addr:
+                # A body over the cap is refused from the declared
                 # Content-Length alone — a 413 before the body is read (so
                 # the abuser cannot make the server buffer it).
                 http_raw = await http_raw_exchange(
@@ -250,7 +204,7 @@ class TestSharedMalformedBodies:
                 )
                 assert status_of(http_raw) == 413
 
-                await assert_still_serving(tcp_addr, http_addr, expected)
+                await assert_still_serving(http_addr, expected)
 
         asyncio.run(run())
 
@@ -272,9 +226,9 @@ class TestHttpFramingAbuse:
         engine, expected = stack
 
         async def run():
-            async with both_servers(engine) as (tcp_addr, http_addr):
+            async with http_server(engine) as http_addr:
                 await check(http_addr)
-                await assert_still_serving(tcp_addr, http_addr, expected)
+                await assert_still_serving(http_addr, expected)
 
         asyncio.run(run())
 
@@ -345,6 +299,46 @@ class TestHttpFramingAbuse:
 
         self.run_case(stack, check)
 
+    def test_head_sends_headers_only_on_keep_alive(self, stack):
+        """``HEAD`` answers with a ``GET``'s headers and no body, so the
+        next response on the same connection parses from its first byte."""
+
+        async def read_head(reader):
+            head = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), timeout=5
+            )
+            lines = head.decode("latin-1").split("\r\n")
+            headers = dict(
+                line.lower().split(": ", 1) for line in lines[1:] if line
+            )
+            return lines[0], headers
+
+        async def check(addr):
+            reader, writer = await asyncio.open_connection(*addr)
+            try:
+                writer.write(b"HEAD /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                await writer.drain()
+                head_status, head_headers = await read_head(reader)
+                writer.write(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                await writer.drain()
+                get_status, get_headers = await read_head(reader)
+                body = await reader.readexactly(
+                    int(get_headers["content-length"])
+                )
+            finally:
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except (ConnectionError, OSError):
+                    pass
+            assert head_status == get_status == "HTTP/1.1 200 OK"
+            assert head_headers["connection"] == "keep-alive"
+            # The HEAD advertises the length a GET body has, without it.
+            assert head_headers["content-length"] == get_headers["content-length"]
+            assert json.loads(body)["ok"] is True
+
+        self.run_case(stack, check)
+
     def test_disconnect_mid_body_is_silent(self, stack):
         """Client advertises a body then vanishes: no stack trace, no wedge."""
 
@@ -378,47 +372,12 @@ class TestHttpFramingAbuse:
 class TestMidBatchDisconnect:
     """A client vanishing mid-batch must not poison its batchmates."""
 
-    def test_tcp_disconnect_does_not_poison_batchmates(self, small_ba_graph):
-        engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.05))
-        # A wide, patient policy so both queries land in one batch.
-        policy = BatchPolicy(max_batch_size=8, max_wait_ms=50.0)
-
-        async def run():
-            async with both_servers(engine, policy) as (tcp_addr, _):
-                # Victim submits a query, then disconnects immediately —
-                # while its query is still queued/batching.
-                _, victim_writer = await asyncio.open_connection(*tcp_addr)
-                victim_writer.write(json.dumps({"seed": 1, "k": 5}).encode() + b"\n")
-                await victim_writer.drain()
-
-                survivor_reader, survivor_writer = await asyncio.open_connection(
-                    *tcp_addr
-                )
-                survivor_writer.write(
-                    json.dumps({"seed": 2, "k": 5}).encode() + b"\n"
-                )
-                await survivor_writer.drain()
-                victim_writer.close()  # mid-batch disconnect
-
-                line = await asyncio.wait_for(
-                    survivor_reader.readline(), timeout=5
-                )
-                answer = json.loads(line)
-                survivor_writer.close()
-                return answer
-
-        with engine:
-            answer = asyncio.run(run())
-        assert answer["ok"] is True
-        assert answer["seed"] == 2
-        assert answer["top"] == [[2, 1.0]]
-
     def test_http_disconnect_does_not_poison_batchmates(self, small_ba_graph):
         engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.05))
         policy = BatchPolicy(max_batch_size=8, max_wait_ms=50.0)
 
         async def run():
-            async with both_servers(engine, policy) as (_, http_addr):
+            async with http_server(engine, policy) as http_addr:
                 victim_reader, victim_writer = await asyncio.open_connection(
                     *http_addr
                 )

@@ -1,7 +1,6 @@
-"""The unified ``QueryClient`` API: conformance, retries, and failover.
+"""The ``HttpQueryClient`` API: conformance, retries, and failover.
 
-One behaviour matrix runs over both transports (``tcp`` and ``http``):
-normal queries and batches are bit-identical to the in-process engine,
+Normal queries and batches are bit-identical to the in-process engine,
 connection refusal / mid-response disconnect / server crash all surface
 as ``ClientConnectionError`` (and are healed by ``retries=``), and a
 peer advertising a different protocol version raises
@@ -22,8 +21,6 @@ from repro.meloppr.solver import MeLoPPRSolver
 from repro.ppr.base import PPRQuery
 from repro.serving import QueryEngine
 from repro.serving.frontend import (
-    AsyncClient,
-    AsyncQueryServer,
     BatchPolicy,
     ClientConnectionError,
     HttpQueryClient,
@@ -32,11 +29,10 @@ from repro.serving.frontend import (
     ProtocolMismatchError,
     QueryShedError,
     ServerError,
-    TcpQueryClient,
-    connect_client,
 )
 
-TRANSPORTS = ["tcp", "http"]
+#: HTTP is the one transport; the parameter keeps the conformance test ids.
+TRANSPORTS = ["http"]
 
 
 @pytest.fixture()
@@ -57,17 +53,14 @@ def expected_top(engine):
     return [(int(n), float(s)) for n, s in result.top_k()]
 
 
-def serve(engine, transport):
-    """Async context: one batcher behind the requested transport."""
+def serve(engine):
+    """Async context: one batcher behind an HTTP server."""
 
     class _Stack:
         async def __aenter__(self):
             self.batcher = MicroBatcher(engine, BatchPolicy(max_wait_ms=0.5))
             await self.batcher.start()
-            server_cls = (
-                AsyncQueryServer if transport == "tcp" else HttpQueryServer
-            )
-            self.server = server_cls(self.batcher)
+            self.server = HttpQueryServer(self.batcher)
             return await self.server.start()
 
         async def __aexit__(self, exc_type, exc, traceback):
@@ -83,7 +76,7 @@ async def assert_still_serving(client, expected_top):
 
 
 # ----------------------------------------------------------------------
-# Conformance across transports
+# Conformance
 # ----------------------------------------------------------------------
 
 
@@ -93,9 +86,8 @@ class TestConformance:
         self, engine, expected_top, transport
     ):
         async def run():
-            async with serve(engine, transport) as (host, port):
-                async with await connect_client(transport, host, port) as client:
-                    assert client.transport == transport
+            async with serve(engine) as (host, port):
+                async with await HttpQueryClient.connect(host, port) as client:
                     response = await client.query(seed=3, k=10)
                     assert response["ok"] is True
                     assert response["proto"] == 1
@@ -105,8 +97,8 @@ class TestConformance:
 
     def test_query_batch_preserves_order(self, engine, transport):
         async def run():
-            async with serve(engine, transport) as (host, port):
-                async with await connect_client(transport, host, port) as client:
+            async with serve(engine) as (host, port):
+                async with await HttpQueryClient.connect(host, port) as client:
                     requests = [
                         client.build_query_payload(seed, k=5)
                         for seed in (1, 2, 3, 4, 5)
@@ -119,8 +111,8 @@ class TestConformance:
 
     def test_ping_stats_drain(self, engine, transport):
         async def run():
-            async with serve(engine, transport) as (host, port):
-                client = await connect_client(transport, host, port)
+            async with serve(engine) as (host, port):
+                client = await HttpQueryClient.connect(host, port)
                 try:
                     assert await client.ping() is True
                     stats = await client.stats()
@@ -134,8 +126,8 @@ class TestConformance:
 
     def test_traces_raise_when_tracing_disabled(self, engine, transport):
         async def run():
-            async with serve(engine, transport) as (host, port):
-                async with await connect_client(transport, host, port) as client:
+            async with serve(engine) as (host, port):
+                async with await HttpQueryClient.connect(host, port) as client:
                     with pytest.raises(ServerError):
                         await client.traces()
 
@@ -143,10 +135,10 @@ class TestConformance:
 
     def test_shed_is_an_answer_not_a_retry(self, engine, transport):
         async def run():
-            async with serve(engine, transport) as (host, port):
+            async with serve(engine) as (host, port):
                 # retries=5 must not apply to protocol rejections.
-                async with await connect_client(
-                    transport, host, port, retries=5, retry_backoff_ms=1.0
+                async with await HttpQueryClient.connect(
+                    host, port, retries=5, retry_backoff_ms=1.0
                 ) as client:
                     response = await client.query(seed=-1, k=5)
                     assert response["ok"] is False
@@ -162,7 +154,7 @@ class TestConformance:
 
             port = pick_free_port()
             with pytest.raises(ClientConnectionError):
-                await connect_client(transport, "127.0.0.1", port)
+                await HttpQueryClient.connect("127.0.0.1", port)
 
         asyncio.run(run())
 
@@ -172,10 +164,10 @@ class TestConformance:
         once the replica is back on the same port."""
 
         async def run():
-            fake = _fake_for(transport)
+            fake = FlakyHttpServer()
             async with fake as (host, port):
-                client = await connect_client(
-                    transport, host, port, retries=10, retry_backoff_ms=10.0
+                client = await HttpQueryClient.connect(
+                    host, port, retries=10, retry_backoff_ms=10.0
                 )
                 try:
                     assert (await client.query(seed=3, k=5))["ok"] is True
@@ -197,16 +189,15 @@ class TestConformance:
 
     def test_crash_without_retries_raises(self, transport):
         async def run():
-            fake = _fake_for(transport)
+            fake = FlakyHttpServer()
             async with fake as (host, port):
-                client = await connect_client(transport, host, port)
+                client = await HttpQueryClient.connect(host, port)
                 try:
                     assert (await client.query(seed=3, k=5))["ok"] is True
                     await fake.crash()
                     with pytest.raises(ClientConnectionError):
-                        # (The HTTP pool's single internal reconnect also
-                        # finds the port closed, so both transports surface
-                        # the same typed error.)
+                        # (The pool's single internal reconnect also finds
+                        # the port closed, so the typed error surfaces.)
                         await client.query(seed=3, k=5)
                 finally:
                     await client.close()
@@ -265,38 +256,9 @@ class _FakeServer:
             self._writers.discard(writer)
 
 
-class FlakyTcpServer(_FakeServer):
-    """Answers like a real TCP front door, but half-writes then drops the
-    first ``fail_first`` responses."""
-
-    async def _handle(self, reader, writer):
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                request = json.loads(line)
-                self.requests_seen += 1
-                if self.requests_seen <= self.fail_first:
-                    writer.write(b'{"id": ')  # torn mid-response
-                    await writer.drain()
-                    writer.close()
-                    return
-                response = {
-                    "id": request.get("id"),
-                    "ok": True,
-                    "seed": request.get("seed"),
-                    "top": [[request.get("seed"), 1.0]],
-                    "proto": self.proto,
-                }
-                writer.write(json.dumps(response).encode() + b"\n")
-                await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-
-
 class FlakyHttpServer(_FakeServer):
-    """Same contract over HTTP: torn responses first, clean answers after."""
+    """Answers like a real front door, but half-writes then drops the
+    first ``fail_first`` responses; ``proto=None`` omits the version."""
 
     async def _handle(self, reader, writer):
         try:
@@ -320,14 +282,14 @@ class FlakyHttpServer(_FakeServer):
                     await writer.drain()
                     writer.close()
                     return
-                payload = json.dumps(
-                    {
-                        "ok": True,
-                        "seed": request.get("seed"),
-                        "top": [[request.get("seed"), 1.0]],
-                        "proto": self.proto,
-                    }
-                ).encode()
+                response = {
+                    "ok": True,
+                    "seed": request.get("seed"),
+                    "top": [[request.get("seed"), 1.0]],
+                }
+                if self.proto is not None:
+                    response["proto"] = self.proto
+                payload = json.dumps(response).encode()
                 writer.write(
                     b"HTTP/1.1 200 OK\r\n"
                     b"Content-Type: application/json\r\n"
@@ -339,26 +301,7 @@ class FlakyHttpServer(_FakeServer):
             pass
 
 
-def _fake_for(transport):
-    return FlakyTcpServer() if transport == "tcp" else FlakyHttpServer()
-
-
 class TestMidResponseDisconnect:
-    def test_tcp_disconnect_surfaces_then_retry_heals(self):
-        async def run():
-            fake = FlakyTcpServer(fail_first=1)
-            async with fake as (host, port):
-                async with await TcpQueryClient.connect(host, port) as client:
-                    with pytest.raises(ClientConnectionError):
-                        await client.query(seed=7, k=5)
-                async with await TcpQueryClient.connect(
-                    host, port, retries=2, retry_backoff_ms=1.0
-                ) as client:
-                    response = await client.query(seed=7, k=5)
-                    assert response["ok"] is True and response["seed"] == 7
-
-        asyncio.run(run())
-
     def test_http_disconnect_surfaces_then_retry_heals(self):
         async def run():
             # The pool itself reconnects once per request, so two torn
@@ -385,7 +328,7 @@ class TestMidResponseDisconnect:
         real server gets bit-identical answers (the differential)."""
 
         async def run():
-            async with serve(engine, "http") as (host, port):
+            async with serve(engine) as (host, port):
                 fake = FlakyHttpServer(fail_first=2)
                 async with fake as (fake_host, fake_port):
                     async with await HttpQueryClient.connect(
@@ -400,17 +343,6 @@ class TestMidResponseDisconnect:
 
 
 class TestProtocolMismatch:
-    def test_tcp_future_version_raises(self):
-        async def run():
-            fake = FlakyTcpServer(proto=999)
-            async with fake as (host, port):
-                async with await TcpQueryClient.connect(host, port) as client:
-                    with pytest.raises(ProtocolMismatchError) as excinfo:
-                        await client.query(seed=7, k=5)
-                    assert excinfo.value.peer_version == 999
-
-        asyncio.run(run())
-
     def test_http_future_version_raises(self):
         async def run():
             fake = FlakyHttpServer(proto=999)
@@ -418,8 +350,9 @@ class TestProtocolMismatch:
                 async with await HttpQueryClient.connect(
                     host, port, pool_size=1
                 ) as client:
-                    with pytest.raises(ProtocolMismatchError):
+                    with pytest.raises(ProtocolMismatchError) as excinfo:
                         await client.query(seed=7, k=5)
+                    assert excinfo.value.peer_version == 999
 
         asyncio.run(run())
 
@@ -428,55 +361,20 @@ class TestProtocolMismatch:
         only the router requires the field."""
 
         async def run():
-            server = await asyncio.start_server(
-                _plain_no_proto_handler, "127.0.0.1", 0
-            )
-            host, port = server.sockets[0].getsockname()[:2]
-            try:
-                async with await TcpQueryClient.connect(host, port) as client:
+            fake = FlakyHttpServer(proto=None)
+            async with fake as (host, port):
+                async with await HttpQueryClient.connect(
+                    host, port, pool_size=1
+                ) as client:
                     response = await client.query(seed=7, k=5)
                     assert response["ok"] is True
-            finally:
-                server.close()
-                await server.wait_closed()
 
         asyncio.run(run())
 
 
-async def _plain_no_proto_handler(reader, writer):
-    try:
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            request = json.loads(line)
-            response = {
-                "id": request.get("id"),
-                "ok": True,
-                "seed": request.get("seed"),
-                "top": [[request.get("seed"), 1.0]],
-            }
-            writer.write(json.dumps(response).encode() + b"\n")
-            await writer.drain()
-    except (ConnectionError, OSError):
-        pass
-
-
 # ----------------------------------------------------------------------
-# Back-compat and API shape
+# API shape
 # ----------------------------------------------------------------------
-
-
-def test_async_client_alias_preserved():
-    assert AsyncClient is TcpQueryClient
-
-
-def test_connect_client_rejects_unknown_transport():
-    async def run():
-        with pytest.raises(ValueError, match="unknown transport"):
-            await connect_client("carrier-pigeon", "127.0.0.1", 1)
-
-    asyncio.run(run())
 
 
 def test_retry_parameters_validated():

@@ -56,14 +56,13 @@ class TestRoundTrip:
         assert ServingConfig.from_args(args) == config
 
     def test_both_parsers_share_the_flag_surface(self):
-        # The TCP and HTTP CLIs differ only in their default port.
-        tcp = build_parser().parse_args([])
-        http = build_serving_parser("http", default_port=7080).parse_args([])
-        assert tcp.port == 7071
-        assert http.port == 7080
-        tcp_cfg = ServingConfig.from_args(tcp)
-        http_cfg = ServingConfig.from_args(http)
-        assert tcp_cfg.replace(port=0) == http_cfg.replace(port=0)
+        # server.build_parser and the HTTP CLI's parser are one flag
+        # surface, and ServingConfig() is exactly what it parses from [].
+        server = build_parser().parse_args([])
+        http = build_serving_parser("http").parse_args([])
+        assert server.port == http.port == 7080
+        assert ServingConfig.from_args(server) == ServingConfig()
+        assert ServingConfig.from_args(http) == ServingConfig()
 
     def test_replace_returns_new_frozen_config(self):
         config = ServingConfig()

@@ -1,9 +1,11 @@
-"""Tests for the TCP/JSON query service and its asyncio client.
+"""Tests for the query server driven through its client API.
 
-Everything runs against a real socket on an ephemeral localhost port: the
-differential round-trip (wire answers identical to the in-process engine),
-protocol-level shed/deadline/bad-request answers, pipelining, and the stats
-endpoint's JSON document.
+Everything runs against a real ``HttpQueryServer`` on an ephemeral localhost
+port, driven by ``HttpQueryClient``: the differential round-trip (wire
+answers identical to the in-process engine), protocol-level
+shed/deadline/bad-request answers, the stats document, the server lifecycle
+and ``SIGTERM`` drain, and the CLI helpers in
+``repro.serving.frontend.server``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from repro.ppr.base import PPRQuery, PPRResult, PPRSolver
 from repro.serving import QueryEngine, SubgraphCache
 from repro.serving.frontend import (
     AdmissionController,
-    AsyncClient,
-    AsyncQueryServer,
     BatchPolicy,
+    HttpQueryClient,
+    HttpQueryServer,
     MicroBatcher,
     QueryShedError,
     ServerError,
@@ -56,9 +58,9 @@ def serve(engine, policy=None, admission=None):
         async def __aenter__(self):
             self.batcher = MicroBatcher(engine, policy, admission)
             await self.batcher.start()
-            self.server = AsyncQueryServer(self.batcher)
+            self.server = HttpQueryServer(self.batcher)
             host, port = await self.server.start()
-            self.client = await AsyncClient.connect(host, port)
+            self.client = await HttpQueryClient.connect(host, port)
             return self.client, self.server
 
         async def __aexit__(self, exc_type, exc, traceback):
@@ -136,7 +138,7 @@ class TestProtocolErrors:
 
         async def run():
             async with serve(engine) as (client, _):
-                return await client.request({"op": "query", "k": 10})
+                return await client.request_query({"k": 10})
 
         with engine:
             response = asyncio.run(run())
@@ -155,25 +157,12 @@ class TestProtocolErrors:
         with engine:
             asyncio.run(run())
 
-    def test_unknown_op_is_bad_request(self, small_ba_graph, config):
-        engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
-
-        async def run():
-            async with serve(engine) as (client, _):
-                return await client.request({"op": "explode"})
-
-        with engine:
-            response = asyncio.run(run())
-        assert response["error"] == "bad_request"
-
     def test_invalid_timeout_is_bad_request(self, small_ba_graph, config):
         engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
 
         async def run():
             async with serve(engine) as (client, _):
-                return await client.request(
-                    {"op": "query", "seed": 3, "timeout_ms": -5}
-                )
+                return await client.request_query({"seed": 3, "timeout_ms": -5})
 
         with engine:
             response = asyncio.run(run())
@@ -184,7 +173,7 @@ class TestProtocolErrors:
 
         async def run():
             async with serve(engine) as (client, _):
-                return await client.request({"op": "query", "seed": 42.9, "k": 10})
+                return await client.request_query({"seed": 42.9, "k": 10})
 
         with engine:
             response = asyncio.run(run())
@@ -197,7 +186,7 @@ class TestProtocolErrors:
 
         async def run():
             async with serve(engine) as (client, _):
-                return await client.request({"op": "query", "seed": True, "k": 10})
+                return await client.request_query({"seed": True, "k": 10})
 
         with engine:
             response = asyncio.run(run())
@@ -212,22 +201,27 @@ class TestProtocolErrors:
             async with serve(engine) as (_, server):
                 host, port = server.address
                 reader, writer = await asyncio.open_connection(host, port)
-                writer.write(b'{"junk": "' + b"x" * 70_000 + b'"}\n')
+                # A request line past the stream's buffer limit.
+                writer.write(
+                    b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\nHost: t\r\n\r\n"
+                )
                 await writer.drain()
-                line = await asyncio.wait_for(reader.readline(), timeout=5)
-                trailer = await asyncio.wait_for(reader.readline(), timeout=5)
+                # read() returns only at EOF: the server closed the stream.
+                raw = await asyncio.wait_for(reader.read(), timeout=5)
                 writer.close()
                 await writer.wait_closed()
-                return json.loads(line), trailer
+                return raw
 
         with engine:
-            response, trailer = asyncio.run(run())
+            raw = asyncio.run(run())
         # An explicit protocol answer, then a clean close — not a dropped
         # connection with no response.
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        response = json.loads(body)
         assert response["ok"] is False
         assert response["error"] == "bad_request"
-        assert "limit" in response["message"]
-        assert trailer == b""
+        assert "too long" in response["message"]
 
     def test_malformed_json_line_gets_error_response(self, small_ba_graph, config):
         engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
@@ -236,12 +230,16 @@ class TestProtocolErrors:
             async with serve(engine) as (_, server):
                 host, port = server.address
                 reader, writer = await asyncio.open_connection(host, port)
-                writer.write(b"this is not json\n")
+                body = b"this is not json"
+                writer.write(
+                    b"POST /query HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(body) + body
+                )
                 await writer.drain()
-                line = await asyncio.wait_for(reader.readline(), timeout=5)
+                raw = await asyncio.wait_for(reader.read(), timeout=5)
                 writer.close()
                 await writer.wait_closed()
-                return json.loads(line)
+                return json.loads(raw.partition(b"\r\n\r\n")[2])
 
         with engine:
             response = asyncio.run(run())
@@ -249,54 +247,10 @@ class TestProtocolErrors:
         assert response["error"] == "bad_request"
 
 
-class TestPipeliningBackpressure:
-    def test_non_reading_client_is_bounded_not_buffered(self, small_ba_graph, config):
-        # A client that pipelines pings without ever reading must not grow
-        # the server's in-flight task set past max_pipelined.
-        engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
-
-        async def run():
-            batcher = MicroBatcher(engine)
-            await batcher.start()
-            server = AsyncQueryServer(batcher, max_pipelined=4)
-            host, port = await server.start()
-            reader, writer = await asyncio.open_connection(host, port)
-            # Flood pings without reading any responses.
-            for _ in range(200):
-                writer.write(b'{"op": "ping"}\n')
-            await writer.drain()
-            await asyncio.sleep(0.2)  # let the server chew on the flood
-            # The server is still healthy: reading drains the flood and a
-            # fresh request round-trips.
-            answered = 0
-            while answered < 200:
-                line = await asyncio.wait_for(reader.readline(), timeout=5)
-                assert json.loads(line)["ok"] is True
-                answered += 1
-            writer.write(b'{"op": "ping", "id": "after"}\n')
-            await writer.drain()
-            final = json.loads(await asyncio.wait_for(reader.readline(), timeout=5))
-            writer.close()
-            await writer.wait_closed()
-            await server.stop()
-            await batcher.stop()
-            return final
-
-        with engine:
-            final = asyncio.run(run())
-        assert final["id"] == "after" and final["ok"] is True
-
-    def test_rejects_nonpositive_max_pipelined(self, small_ba_graph, config):
-        engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
-        with pytest.raises(ValueError, match="max_pipelined"):
-            AsyncQueryServer(MicroBatcher(engine), max_pipelined=0)
-        engine.close()
-
-
 class TestServerLifecycle:
     def test_address_before_start_raises(self, small_ba_graph, config):
         engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
-        server = AsyncQueryServer(MicroBatcher(engine))
+        server = HttpQueryServer(MicroBatcher(engine))
         with pytest.raises(RuntimeError, match="not started"):
             server.address
         engine.close()
@@ -307,7 +261,7 @@ class TestServerLifecycle:
         async def run():
             batcher = MicroBatcher(engine)
             await batcher.start()
-            server = AsyncQueryServer(batcher)
+            server = HttpQueryServer(batcher)
             await server.start()
             with pytest.raises(RuntimeError, match="already started"):
                 await server.start()
@@ -324,12 +278,12 @@ class TestServerLifecycle:
         async def run():
             batcher = MicroBatcher(engine)
             await batcher.start()
-            server = AsyncQueryServer(batcher)
+            server = HttpQueryServer(batcher)
             forever = asyncio.ensure_future(server.serve_forever())
             while server._server is None:  # wait for the auto-start
                 await asyncio.sleep(0.01)
             host, port = server.address
-            client = await AsyncClient.connect(host, port)
+            client = await HttpQueryClient.connect(host, port)
             assert await client.ping()
             await client.close()
             forever.cancel()
@@ -339,6 +293,43 @@ class TestServerLifecycle:
                 pass
             await server.stop()
             await batcher.stop()
+
+        with engine:
+            asyncio.run(run())
+
+    def test_sigterm_triggers_graceful_drain(self, small_ba_graph):
+        import os
+        import signal
+
+        from repro.serving.frontend.server import install_drain_signal_handler
+
+        engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.1))
+        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0)
+
+        async def run():
+            batcher = MicroBatcher(engine, policy)
+            await batcher.start()
+            server = HttpQueryServer(batcher)
+            host, port = await server.start()
+            install_drain_signal_handler(server)
+            client = await HttpQueryClient.connect(host, port)
+            try:
+                inflight = asyncio.ensure_future(client.solve(seed=1, k=5))
+                await asyncio.sleep(0.02)
+                os.kill(os.getpid(), signal.SIGTERM)
+                # The signal handler schedules the drain on the loop; the
+                # in-flight query must still be answered, then the listener
+                # refuses new connections.
+                assert await inflight == [(1, 1.0)]
+                await server.drain()
+                assert server.draining
+                with pytest.raises(OSError):
+                    await HttpQueryClient.connect(host, port)
+            finally:
+                asyncio.get_running_loop().remove_signal_handler(signal.SIGTERM)
+                await client.close()
+                await server.drain()
+                await batcher.stop()
 
         with engine:
             asyncio.run(run())
@@ -481,37 +472,9 @@ class TestServerCLIConstruction:
             engine.close()
 
 
-class TestClientLifecycle:
-    def test_close_fails_pending_requests(self, small_ba_graph):
-        engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.2))
-
-        async def run():
-            async with serve(engine) as (client, _):
-                pending = asyncio.ensure_future(client.solve(seed=1, k=10))
-                await asyncio.sleep(0.02)
-                await client.close()
-                with pytest.raises(ConnectionError):
-                    await pending
-
-        with engine:
-            asyncio.run(run())
-
-    def test_request_after_close_raises(self, small_ba_graph, config):
-        engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
-
-        async def run():
-            async with serve(engine) as (client, _):
-                await client.ping()
-            with pytest.raises(ConnectionError):
-                await client.ping()
-
-        with engine:
-            asyncio.run(run())
-
-
 class TestReportedLatency:
     def test_reported_latency_covers_the_full_server_path(self, small_ba_graph):
-        """The wire-reported latency clock starts at line receipt.
+        """The wire-reported latency clock starts at request receipt.
 
         It must therefore dominate the admission-measured latency (which
         starts later, at submit): a reported latency below the batcher's
@@ -522,7 +485,7 @@ class TestReportedLatency:
 
         async def run():
             async with serve(engine) as (client, server):
-                response = await client.request({"seed": 1, "k": 5})
+                response = await client.request_query({"seed": 1, "k": 5})
                 stats = server.batcher.stats()
                 return response, stats
 
@@ -586,180 +549,3 @@ class TestProcessBackendCLIRebuild:
             assert engine.backend.num_workers == 2
         finally:
             engine.close()
-
-
-class TestTcpLiveOps:
-    def test_drain_op_completes_inflight_and_refuses_new_connections(
-        self, small_ba_graph
-    ):
-        engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.1))
-        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0)
-
-        async def run():
-            batcher = MicroBatcher(engine, policy)
-            await batcher.start()
-            server = AsyncQueryServer(batcher)
-            host, port = await server.start()
-            client = await AsyncClient.connect(host, port)
-            try:
-                inflight = asyncio.ensure_future(client.solve(seed=1, k=5))
-                await asyncio.sleep(0.02)
-                ack = await client.request({"op": "drain"})
-                assert ack["ok"] is True and ack["draining"] is True
-                # The in-flight query still completes with its answer.
-                assert await inflight == [(1, 1.0)]
-                await server.drain()  # wait for the background drain
-                assert server.draining
-                with pytest.raises(OSError):
-                    await AsyncClient.connect(host, port)
-            finally:
-                await client.close()
-                await server.drain()
-                await batcher.stop()
-
-        with engine:
-            asyncio.run(run())
-
-    def test_sigterm_triggers_graceful_drain(self, small_ba_graph):
-        import os
-        import signal
-
-        from repro.serving.frontend.server import install_drain_signal_handler
-
-        engine = QueryEngine(SleepySolver(small_ba_graph, delay_seconds=0.1))
-        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0)
-
-        async def run():
-            batcher = MicroBatcher(engine, policy)
-            await batcher.start()
-            server = AsyncQueryServer(batcher)
-            host, port = await server.start()
-            install_drain_signal_handler(server)
-            client = await AsyncClient.connect(host, port)
-            try:
-                inflight = asyncio.ensure_future(client.solve(seed=1, k=5))
-                await asyncio.sleep(0.02)
-                os.kill(os.getpid(), signal.SIGTERM)
-                # The signal handler schedules the drain on the loop; the
-                # in-flight query must still be answered, then the listener
-                # refuses new connections.
-                assert await inflight == [(1, 1.0)]
-                await server.drain()
-                assert server.draining
-                with pytest.raises(OSError):
-                    await AsyncClient.connect(host, port)
-            finally:
-                asyncio.get_running_loop().remove_signal_handler(signal.SIGTERM)
-                await client.close()
-                await server.drain()
-                await batcher.stop()
-
-        with engine:
-            asyncio.run(run())
-
-    def test_reload_op_applies_and_reports(self, small_ba_graph, config):
-        engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
-
-        async def run():
-            async with serve(engine) as (client, server):
-                response = await client.request(
-                    {
-                        "op": "reload",
-                        "config": {"max_pending": 128, "max_wait_ms": 5.0},
-                    }
-                )
-                assert response["ok"] is True
-                assert sorted(response["applied"]) == [
-                    "max_pending",
-                    "max_wait_ms",
-                ]
-                assert response["config"]["max_pending"] == 128
-                assert server.batcher.admission.max_pending == 128
-                assert server.batcher.policy.max_wait_ms == 5.0
-                # The connection is still serving after the reload.
-                answer = await client.solve(seed=3, k=10)
-                assert len(answer) > 0
-
-        with engine:
-            asyncio.run(run())
-
-    def test_reload_op_bad_key_is_typed_and_changes_nothing(
-        self, small_ba_graph, config
-    ):
-        engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
-
-        async def run():
-            async with serve(engine) as (client, server):
-                before = server.batcher.admission.max_pending
-                response = await client.request(
-                    {
-                        "op": "reload",
-                        "config": {"max_pending": 5, "warp_speed": True},
-                    }
-                )
-                assert response["ok"] is False
-                assert response["error"] == "bad_request"
-                assert "warp_speed" in response["message"]
-                assert server.batcher.admission.max_pending == before
-
-        with engine:
-            asyncio.run(run())
-
-
-class TestLiveUpdate:
-    def test_update_over_the_wire(self, small_ba_graph, config):
-        from repro.graph.csr import CSRGraph
-
-        u, v = 0, int(small_ba_graph.neighbors(0)[0])
-        canonical = (min(u, v), max(u, v))
-        remaining = [
-            edge for edge in small_ba_graph.iter_edges() if edge != canonical
-        ]
-        rebuilt = CSRGraph.from_edges(small_ba_graph.num_nodes, remaining)
-        query = PPRQuery(seed=3, k=20)
-        expected = [
-            (int(n), float(s))
-            for n, s in MeLoPPRSolver(rebuilt, config).solve(query).top_k()
-        ]
-        engine = QueryEngine(
-            MeLoPPRSolver(small_ba_graph, config), cache=SubgraphCache()
-        )
-
-        async def run():
-            async with serve(engine) as (client, _):
-                await client.solve(seed=3, k=20)  # warm the old topology
-                response = await client.request(
-                    {"op": "update", "ops": [["delete", u, v]]}
-                )
-                answer = await client.solve(seed=3, k=20)
-                return response, answer
-
-        with engine:
-            response, answer = asyncio.run(run())
-        assert response["ok"] is True and response["op"] == "update"
-        assert response["ops"] == 1
-        assert response["new_fingerprint"] == rebuilt.fingerprint()
-        assert response["touched_nodes"] >= 2
-        # Post-update answers come from the new topology, not stale caches.
-        assert answer == expected
-
-    def test_bad_update_is_bad_request_and_changes_nothing(
-        self, small_ba_graph, config
-    ):
-        engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
-        fingerprint = small_ba_graph.fingerprint()
-
-        async def run():
-            async with serve(engine) as (client, _):
-                missing = await client.request({"op": "update"})
-                loop = await client.request(
-                    {"op": "update", "ops": [["insert", 2, 2]]}
-                )
-                return missing, loop
-
-        with engine:
-            missing, loop = asyncio.run(run())
-        assert missing["error"] == "bad_request"
-        assert loop["error"] == "bad_request"
-        assert "self-loop" in loop["message"]
-        assert engine.solver.graph.fingerprint() == fingerprint

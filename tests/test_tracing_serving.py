@@ -4,8 +4,7 @@ The unit behavior of the tracer lives in ``tests/test_tracing.py``; these
 tests prove the *threading* — that a sampled query through the real stack
 (admission queue → micro-batch → engine → stages → process-pool workers →
 shard router) yields one connected span tree, that trace context propagates
-in over both transports (TCP ``trace`` field, HTTP ``traceparent`` header),
-that the debug endpoints export valid Chrome trace-event JSON, and that the
+in through the HTTP ``traceparent`` header, that the debug endpoints export valid Chrome trace-event JSON, and that the
 disabled path costs nothing measurable.
 """
 
@@ -35,10 +34,9 @@ from repro.serving import (
 from repro.serving.tracing import make_span_id, make_trace_id
 from repro.serving.frontend import (
     AdmissionController,
-    AsyncClient,
-    AsyncQueryServer,
     BatchPolicy,
     HttpClient,
+    HttpQueryClient,
     HttpQueryServer,
     MicroBatcher,
     configure_logging,
@@ -157,7 +155,7 @@ class TestProcessPoolAcceptance:
     def test_connected_span_tree_across_workers_and_shards(
         self, small_ba_graph, config
     ):
-        """The PR's acceptance path: TCP request → admission → batcher →
+        """The acceptance path: HTTP request → admission → batcher →
         engine → process:2 workers over a 2-shard router, one connected
         span tree with worker-side spans re-parented across the IPC
         boundary, exported as valid Chrome trace-event JSON."""
@@ -179,14 +177,12 @@ class TestProcessPoolAcceptance:
                 AdmissionController(max_pending=16),
             )
             await batcher.start()
-            server = AsyncQueryServer(batcher)
+            server = HttpQueryServer(batcher)
             host, port = await server.start()
-            client = await AsyncClient.connect(host, port)
+            client = await HttpQueryClient.connect(host, port)
             try:
-                answer = await client.request(
-                    {"op": "query", "seed": 11, "k": 20}
-                )
-                traces = await client.request({"op": "traces"})
+                answer = await client.request_query({"seed": 11, "k": 20})
+                traces = await client.traces()
                 return answer, traces
             finally:
                 await client.close()
@@ -253,33 +249,19 @@ class TestCrossTransportPropagation:
         self, small_ba_graph, config
     ):
         """An externally supplied traceparent (sampled flag set) forces a
-        trace under the supplied id over TCP and HTTP alike — with local
-        sampling off, so the only way the id can appear is propagation."""
+        trace under the supplied id — with local sampling off, so the only
+        way the id can appear is propagation."""
         tracer = Tracer(sample_rate=0.0)
         engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config), tracer=tracer)
-        tcp_trace = make_trace_id()
         http_trace = make_trace_id()
 
         async def run():
             batcher = MicroBatcher(engine)
             await batcher.start()
-            tcp_server = AsyncQueryServer(batcher)
             http_server = HttpQueryServer(batcher)
-            tcp_host, tcp_port = await tcp_server.start()
             http_host, http_port = await http_server.start()
-            tcp_client = await AsyncClient.connect(tcp_host, tcp_port)
             http_client = await HttpClient(http_host, http_port).connect()
             try:
-                tcp_answer = await tcp_client.request(
-                    {
-                        "op": "query",
-                        "seed": 3,
-                        "k": 10,
-                        "trace": format_traceparent(
-                            tcp_trace, make_span_id(), sampled=True
-                        ),
-                    }
-                )
                 status, _, raw = await http_client.request(
                     "POST",
                     "/query",
@@ -290,29 +272,23 @@ class TestCrossTransportPropagation:
                         )
                     },
                 )
-                untraced = await tcp_client.request(
-                    {"op": "query", "seed": 7, "k": 10}
-                )
-                return tcp_answer, status, json.loads(raw), untraced
+                _, untraced = await http_client.query({"seed": 7, "k": 10})
+                return status, json.loads(raw), untraced
             finally:
-                await tcp_client.close()
                 await http_client.close()
-                await tcp_server.stop()
                 await http_server.stop()
                 await batcher.stop()
 
         with engine:
-            tcp_answer, http_status, http_answer, untraced = asyncio.run(run())
+            http_status, http_answer, untraced = asyncio.run(run())
 
-        assert tcp_answer["ok"] and http_status == 200 and http_answer["ok"]
-        assert tcp_answer["trace_id"] == tcp_trace
+        assert http_status == 200 and http_answer["ok"]
         assert http_answer["trace_id"] == http_trace
         # Local sampling is off: the un-annotated query records nothing.
         assert "trace_id" not in untraced
 
         recorded = {tree["trace_id"]: tree for tree in tracer.traces()}
-        assert set(recorded) == {tcp_trace, http_trace}
-        assert recorded[tcp_trace]["spans"][0]["attributes"]["transport"] == "tcp"
+        assert set(recorded) == {http_trace}
         assert recorded[http_trace]["spans"][0]["attributes"]["transport"] == "http"
         for tree in recorded.values():
             assert_connected(tree)
@@ -380,29 +356,6 @@ class TestDebugEndpoints:
         assert "trace-sample" in body["message"]
         assert perf_body["error"] == "not_found"
 
-    def test_tcp_traces_op_without_tracer_is_a_bad_request(
-        self, small_ba_graph, config
-    ):
-        engine = QueryEngine(MeLoPPRSolver(small_ba_graph, config))
-
-        async def run():
-            batcher = MicroBatcher(engine)
-            await batcher.start()
-            server = AsyncQueryServer(batcher)
-            host, port = await server.start()
-            client = await AsyncClient.connect(host, port)
-            try:
-                return await client.request({"op": "traces"})
-            finally:
-                await client.close()
-                await server.stop()
-                await batcher.stop()
-
-        with engine:
-            answer = asyncio.run(run())
-        assert answer["ok"] is False
-        assert "tracing is disabled" in answer["message"]
-
 
 class TestRequestLog:
     def test_one_jsonl_line_per_request_with_trace_id(
@@ -417,13 +370,13 @@ class TestRequestLog:
         async def run():
             batcher = MicroBatcher(engine)
             await batcher.start()
-            server = AsyncQueryServer(batcher)
+            server = HttpQueryServer(batcher)
             host, port = await server.start()
-            client = await AsyncClient.connect(host, port)
+            client = await HttpQueryClient.connect(host, port)
             try:
                 return await asyncio.gather(
-                    client.request({"op": "query", "seed": 3, "k": 10}),
-                    client.request({"op": "query", "seed": 5, "k": 10}),
+                    client.request_query({"seed": 3, "k": 10}),
+                    client.request_query({"seed": 5, "k": 10}),
                 )
             finally:
                 await client.close()
@@ -444,7 +397,7 @@ class TestRequestLog:
         by_seed = {line["seed"]: line for line in lines}
         for answer in answers:
             line = by_seed[answer["seed"]]
-            assert line["transport"] == "tcp"
+            assert line["transport"] == "http"
             assert line["status"] == "ok"
             assert line["latency_ms"] >= 0.0
             assert line["trace_id"] == answer["trace_id"]
@@ -459,11 +412,11 @@ class TestRequestLog:
         async def run():
             batcher = MicroBatcher(engine)
             await batcher.start()
-            server = AsyncQueryServer(batcher)
+            server = HttpQueryServer(batcher)
             host, port = await server.start()
-            client = await AsyncClient.connect(host, port)
+            client = await HttpQueryClient.connect(host, port)
             try:
-                return await client.request({"op": "query", "seed": 3, "k": 10})
+                return await client.request_query({"seed": 3, "k": 10})
             finally:
                 await client.close()
                 await server.stop()
